@@ -1,11 +1,13 @@
 """Per-component cover kernels executed inside Spark tasks.
 
 ``applyInPandas`` ships each strongly-connected component's edge frame to
-an executor; the kernel rebuilds a CSR graph, restricts it to vertices in
-non-trivial SCCs (sound: the others are on no cycle — and uniform across
-algorithms, so comparisons stay fair), runs the requested algorithm, and
-returns cover rows plus one per-component stats row (``vertex`` NULL)
-carrying kernel seconds / op count / finished flag.
+an executor; the kernel rebuilds a CSR graph and, for the TDB family only,
+restricts it to the constrained-cycle region (vertices in non-trivial
+SCCs, edges on a closed walk of length <= k — the bulk form of the
+top-down method's BFS filter, so the baselines run the graph as
+published). It then runs the requested algorithm and returns cover rows
+plus one per-component stats row (``vertex`` NULL) carrying kernel
+seconds / op count / finished flag.
 """
 from __future__ import annotations
 
@@ -53,10 +55,10 @@ def restrict_to_cycle_region(g: CSRGraph, allow_two_cycles: bool,
                              k: int | None = None) -> CSRGraph:
     """Label-preserving sub-CSR that keeps the constrained-cycle region.
 
-    Two sound, cycle-preserving reductions, applied to *every* algorithm
-    uniformly so comparisons stay fair: (1) drop vertices outside
-    non-trivial SCCs; (2) with a hop bound, drop edges on no closed walk
-    of length <= k (the bulk form of the paper's BFS filter).
+    Two sound, cycle-preserving reductions, which ``solve_component``
+    applies to the TDB family only: (1) drop vertices outside non-trivial
+    SCCs; (2) with a hop bound, drop edges on no closed walk of length
+    <= k (the bulk form of the paper's BFS filter).
     """
     mask = nontrivial_scc_mask(g, allow_two_cycles=allow_two_cycles)
     if not mask.all():

@@ -1,7 +1,7 @@
 """The distributed cover pipeline (DESIGN.md §3).
 
-``prepare_graph``   normalize → trim → bulk k-circuit prefilter → trim →
-                    SCC → keep intra-component edges. All iterative
+``prepare_graph``   normalize → trim → SCC → keep intra-component edges →
+                    bulk k-circuit prefilter → trim. All iterative
                     DataFrame dataflow; the output ``(comp, src, dst)``
                     frame is checkpointed so the expensive shared phases
                     run once per (dataset, k) and every algorithm is then
@@ -41,6 +41,14 @@ ALGO_LABEL = {"bur": "BUR", "bur+": "BUR+", "tdb": "TDB", "tdb+": "TDB+",
               "tdb++": "TDB++", "darc-dv": "DARC-DV"}
 
 
+def require_hop_bound(k: int | None, where: str) -> None:
+    """Reject ``k=None`` where the Spark k-circuit prefilter would run."""
+    if k is None:
+        raise ValueError(
+            f"{where} needs a hop bound k; for the unconstrained variant "
+            "(k=None) run single_group(edges) + run_cover(..., k=None)")
+
+
 def single_group(edges: DataFrame) -> DataFrame:
     """Wrap a raw edge frame as one kernel group (``comp = 0``).
 
@@ -58,7 +66,13 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
 
     ``comp_edges`` has columns ``comp, src, dst`` — only intra-component
     edges survive (cross-SCC edges are on no cycle).
+
+    The k-circuit prefilter needs a hop bound: ``k=None`` with
+    ``use_prefilter=True`` raises :class:`ValueError` before any Spark
+    action.
     """
+    if use_prefilter:
+        require_hop_bound(k, "prepare_graph(use_prefilter=True)")
     info: dict = {}
     t0 = time.perf_counter()
     e = normalize_edges(edges).localCheckpoint(eager=True)

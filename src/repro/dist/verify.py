@@ -17,6 +17,7 @@ from ..graph.csr import CSRGraph
 from ..graph.khop import prefilter_edges
 from ..graph.schema import normalize_edges
 from ..graph.trim import trim
+from .pipeline import require_hop_bound
 
 
 def remove_cover(edges: DataFrame, cover: DataFrame) -> DataFrame:
@@ -27,10 +28,19 @@ def remove_cover(edges: DataFrame, cover: DataFrame) -> DataFrame:
             .select("src", "dst"))
 
 
+def cover_frame(spark: SparkSession, cover) -> DataFrame:
+    """A cover as a typed ``v BIGINT`` frame; an empty cover stays empty."""
+    return spark.createDataFrame([(int(v),) for v in cover], "v BIGINT")
+
+
 def distributed_check_cover(spark: SparkSession, edges: DataFrame,
                             cover: DataFrame, k: int, *,
                             allow_two_cycles: bool = False) -> bool:
-    """True iff ``cover`` hits every constrained cycle of ``edges``."""
+    """True iff ``cover`` hits every constrained cycle of ``edges``.
+
+    ``k=None`` raises :class:`ValueError` before any Spark action: the
+    k-circuit narrowing needs a hop bound."""
+    require_hop_bound(k, "distributed_check_cover")
     residual = trim(remove_cover(normalize_edges(edges), cover))
     if residual.isEmpty():
         return True

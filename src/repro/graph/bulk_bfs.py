@@ -1,20 +1,28 @@
 """Vectorized bulk k-hop reachability — the in-kernel twin of
 :mod:`repro.graph.khop`.
 
-One numpy-vectorized BFS per root (frontier expansion via CSR gathers, no
-per-edge Python) computes, for every root ``v``, the set reachable within
-``k-1`` hops. From that:
+A multi-source BFS over packed reach-sets (Then et al., "The More the
+Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014)
+computes, for every vertex ``x`` at once, the set ``R[x]`` of vertices
+reachable from ``x`` in ``1..k-1`` hops. Row ``x`` is a bitset of ``n``
+bits packed into ``uint64`` words; one round is a CSR gather of the
+out-neighbours' rows and a segmented OR:
+
+    R_1[x]     = out(x)
+    R_{h+1}[x] = R_1[x] | OR_{w in out(x)} R_h[w]
+
+From ``R = R_{k-1}``:
 
 * ``edge_on_short_walk[x]`` — edge ``x=(u,v)`` lies on a closed walk of
-  length <= k  (iff ``dist(v, u) <= k-1``);
+  length <= k  (iff ``dist(v, u) <= k-1``, i.e. bit ``u`` of ``R[v]``);
 * ``vertex_on_short_walk[v]`` — some in-edge of ``v`` is on such a walk.
 
 Both are *may*-analyses with no false negatives for constrained simple
 cycles: a simple cycle of length l <= k through an edge/vertex is itself
 a closed walk of length l. Deleting everything unflagged therefore
 preserves the constrained-cycle set exactly — this is the k-aware
-preprocessing the per-component kernels apply uniformly to every
-algorithm (tests assert cycle-set preservation against brute force).
+preprocessing the kernels apply to the TDB family (tests assert
+cycle-set preservation against brute force).
 """
 from __future__ import annotations
 
@@ -22,38 +30,9 @@ import numpy as np
 
 from .csr import CSRGraph
 
-
-def _reach_within(g: CSRGraph, root: int, hops: int,
-                  visited_stamp: np.ndarray, stamp: int) -> np.ndarray:
-    """Mark (via ``visited_stamp[v] = stamp``) all v with
-    ``1 <= dist(root, v) <= hops``; returns the array of reached vertices.
-
-    Note the root itself is only marked if it is reachable from itself
-    (cycle through root) — distance from root, not including hop 0.
-    """
-    indptr, indices = g.indptr_out, g.indices_out
-    frontier = np.asarray([root], dtype=np.int64)
-    out_all: list[np.ndarray] = []
-    for _ in range(hops):
-        starts = indptr[frontier]
-        ends = indptr[frontier + 1]
-        counts = ends - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # flattened positions of all frontier out-edges
-        offs = np.repeat(starts - np.concatenate(([0], counts.cumsum()[:-1])),
-                         counts) + np.arange(total)
-        nbrs = indices[offs]
-        fresh = nbrs[visited_stamp[nbrs] != stamp]
-        if fresh.size == 0:
-            break
-        visited_stamp[fresh] = stamp
-        frontier = np.unique(fresh)
-        out_all.append(frontier)
-    if not out_all:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(out_all)
+# Upper bound on the bytes of one round's gathered ``(m, words)`` array;
+# the target columns are processed in chunks of words that fit it.
+_GATHER_BYTES = 64 << 20
 
 
 def short_walk_masks(g: CSRGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,26 +45,35 @@ def short_walk_masks(g: CSRGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
     vertex_mask = np.zeros(g.n, dtype=bool)
     if k < 2 or g.m == 0:
         return edge_mask, vertex_mask
-    visited_stamp = np.full(g.n, -1, dtype=np.int64)
-    # edge id ranges grouped by *tail* are the CSR-out slices; we need
-    # them grouped by *head* to test dist(head, tail), so build the
-    # head-grouped view once: for root v, in-edges (u, v).
-    tails = np.repeat(np.arange(g.n), g.out_degrees())  # tail of edge id e
+    tails = np.repeat(np.arange(g.n), g.out_degrees())
     heads = g.indices_out
-    # edge ids grouped by head
-    order = np.argsort(heads, kind="stable")
-    sorted_heads = heads[order]
-    group_starts = np.searchsorted(sorted_heads, np.arange(g.n + 1))
-    for v in range(g.n):
-        lo, hi = group_starts[v], group_starts[v + 1]
-        if lo == hi:
-            continue
-        _reach_within(g, v, k - 1, visited_stamp, v)
-        eids = order[lo:hi]
-        hit = visited_stamp[tails[eids]] == v
-        if hit.any():
-            edge_mask[eids[hit]] = True
-            vertex_mask[v] = True
+    # vertex v is bit v & 63 of word v >> 6 of a row
+    word = np.arange(g.n) >> 6
+    bit = np.left_shift(np.uint64(1), (np.arange(g.n) & 63).astype(np.uint64))
+    # reduceat segments: rows with out-edges only (an empty row has none)
+    active = np.flatnonzero(g.out_degrees())
+    starts = g.indptr_out[active]
+    words = (g.n + 63) >> 6
+    chunk = max(1, _GATHER_BYTES // (8 * g.m))
+    for w0 in range(0, words, chunk):
+        w1 = min(words, w0 + chunk)
+        r1 = np.zeros((g.n, w1 - w0), dtype=np.uint64)
+        sel = (word[heads] >= w0) & (word[heads] < w1)
+        np.bitwise_or.at(r1, (tails[sel], word[heads[sel]] - w0),
+                         bit[heads[sel]])
+        reach = r1
+        for _ in range(k - 2):
+            nxt = r1.copy()
+            nxt[active] |= np.bitwise_or.reduceat(reach[heads], starts,
+                                                  axis=0)
+            if np.array_equal(nxt, reach):
+                break
+            reach = nxt
+        # edge (u, v) is kept iff bit u of R_{k-1}[v] is set
+        sel = np.flatnonzero((word[tails] >= w0) & (word[tails] < w1))
+        u, v = tails[sel], heads[sel]
+        edge_mask[sel] = (reach[v, word[u] - w0] & bit[u]) != 0
+    vertex_mask[heads[edge_mask]] = True
     return edge_mask, vertex_mask
 
 

@@ -25,7 +25,7 @@ from pyspark.sql import SparkSession
 
 from ..core.verify import check_minimal
 from ..dist.pipeline import prepare_graph, run_cover, single_group
-from ..dist.verify import distributed_check_cover
+from ..dist.verify import cover_frame, distributed_check_cover
 from ..graph.csr import CSRGraph
 from ..graphgen.registry import DATASETS
 from ..synth_data import graph_edges
@@ -74,8 +74,7 @@ def run_table3(spark: SparkSession, *, k: int = 5,
             row[f"{col}_paper_size"] = paper[0] if paper else np.nan
             row[f"{col}_paper_s"] = paper[1] if paper else np.nan
             if verify and res.finished and algo == "tdb++":
-                cov = spark.createDataFrame(
-                    [(int(v),) for v in res.cover] or [(-1,)], "v BIGINT")
+                cov = cover_frame(spark, res.cover)
                 assert distributed_check_cover(spark, edges, cov, k), \
                     f"TDB++ cover infeasible on {name}"
                 if spec.tier == "small":

@@ -65,3 +65,18 @@ def test_restrict_to_cycle_region_drops_dead_weight():
     r = restrict_to_cycle_region(g, False, 3)
     assert set(r.vertex_ids.tolist()) == {0, 1, 2}
     assert r.m == 3
+
+
+def test_flk_quarter_kernel_input_pinned():
+    """The TDB family's kernel input on the benchmark's ``flk-kernel``
+    graph (FLK analog at a quarter of its size, seed 113). The degree
+    order, and so the cover, is computed on this graph: a change to the
+    reductions that moves this count changes the benchmark's covers."""
+    from dataclasses import replace
+
+    from repro.graphgen.registry import DATASETS
+    flk = DATASETS["FLK"]
+    pdf = replace(flk, n=round(flk.n * 0.25), m=round(flk.m * 0.25),
+                  seed=113).generate()
+    g = restrict_to_cycle_region(CSRGraph.from_edges(pdf), False, 5)
+    assert g.m == 37_909

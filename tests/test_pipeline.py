@@ -6,6 +6,7 @@ from repro.core.top_down import top_down
 from repro.core.verify import check_feasible, check_minimal
 from repro.dist.pipeline import (distributed_cover, prepare_graph,
                                  run_cover, single_group)
+from repro.dist.verify import distributed_check_cover
 from repro.graph.csr import CSRGraph
 from repro.graph.schema import edges_df
 from repro.graphgen.models import powerlaw_digraph, uniform_digraph
@@ -57,6 +58,36 @@ def test_multi_component_graphs_solved_per_component(spark):
     assert len(cov & {10, 11, 12}) == 1
     assert len(cov) == 2
     assert res.extra["n_components"] == 2
+
+
+class _NoSpark:
+    """Stands in for a session or frame; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"Spark touched before validation: {name}")
+
+
+def test_unconstrained_k_rejected_before_spark():
+    with pytest.raises(ValueError, match="single_group.*run_cover"):
+        prepare_graph(_NoSpark(), _NoSpark(), None)
+    with pytest.raises(ValueError, match="single_group.*run_cover"):
+        distributed_cover(_NoSpark(), _NoSpark(), None)
+    with pytest.raises(ValueError, match="single_group.*run_cover"):
+        distributed_check_cover(_NoSpark(), _NoSpark(), _NoSpark(), None)
+
+
+def test_unconstrained_k_through_single_group(spark):
+    import pandas as pd
+    # a 4-cycle and a 2-cycle: with no hop bound both need a vertex
+    pdf = pd.DataFrame([(0, 1), (1, 2), (2, 3), (3, 0), (10, 11), (11, 10)],
+                       columns=["src", "dst"])
+    res = run_cover(single_group(edges_df(spark, pdf)), "tdb++", None,
+                    allow_two_cycles=True)
+    assert res.finished
+    g = CSRGraph.from_edges(pdf)
+    assert check_feasible(g, res.cover, None, allow_two_cycles=True)[0]
+    assert len(res.cover_set() & {0, 1, 2, 3}) == 1
+    assert len(res.cover_set() & {10, 11}) == 1
 
 
 def test_single_group_wraps_raw(spark):
