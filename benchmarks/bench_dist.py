@@ -3,18 +3,18 @@ the large-tier Table III rows run through), at bench scale (~SF 0.1
 equivalent: the WIT analog, the largest small-tier graph)."""
 import pytest
 
-from repro.dist.pipeline import distributed_cover
-from repro.graph.schema import graph_stats
+from repro.dist.pipeline import prepare_graph, run_cover
+from repro.graph.schema import edges_df, graph_stats
 from repro.graph.scc import scc
 from repro.graph.trim import trim
-from repro.synth_data import graph_edges
+from repro.graphgen.registry import generate
 
 DATASET = "WIT"
 
 
 @pytest.fixture(scope="module")
 def edges(spark):
-    return graph_edges(spark, DATASET).localCheckpoint(eager=True)
+    return edges_df(spark, generate(DATASET)).localCheckpoint(eager=True)
 
 
 def test_stats_table2(benchmark, edges):
@@ -38,8 +38,10 @@ def test_scc_phase(benchmark, spark, edges):
 
 
 def test_distributed_cover_end_to_end(benchmark, spark, edges):
-    res = benchmark.pedantic(
-        lambda: distributed_cover(spark, edges, 5, "tdb++", scc_rounds=6),
-        rounds=2, iterations=1)
+    def cover():
+        comp_edges, _ = prepare_graph(spark, edges, 5, scc_rounds=6)
+        return run_cover(comp_edges, "tdb++", 5)
+
+    res = benchmark.pedantic(cover, rounds=2, iterations=1)
     assert res.finished
     benchmark.extra_info["cover_size"] = res.size

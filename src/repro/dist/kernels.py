@@ -32,7 +32,7 @@ ALGORITHMS = ("bur", "bur+", "tdb", "tdb+", "tdb++", "darc-dv")
 
 
 def run_algorithm(g: CSRGraph, algorithm: str, k: int, *,
-                  allow_two_cycles: bool = False, order: str = "degree",
+                  allow_two_cycles: bool = False,
                   op_budget: int | None = None):
     """Dispatch one cover algorithm on a CSR graph (used by tests too)."""
     budget = OpBudget(op_budget)
@@ -43,7 +43,7 @@ def run_algorithm(g: CSRGraph, algorithm: str, k: int, *,
         return bur_plus(g, k, allow_two_cycles=allow_two_cycles,
                         budget=budget)
     if algorithm in ("tdb", "tdb+", "tdb++"):
-        return top_down(g, k, technique=algorithm, order=order,
+        return top_down(g, k, technique=algorithm,
                         allow_two_cycles=allow_two_cycles, budget=budget)
     if algorithm == "darc-dv":
         return darc_dv(g, k, allow_two_cycles=allow_two_cycles,
@@ -74,7 +74,7 @@ def restrict_to_cycle_region(g: CSRGraph, allow_two_cycles: bool,
 
 
 def solve_component(pdf: pd.DataFrame, *, algorithm: str, k: int,
-                    allow_two_cycles: bool = False, order: str = "degree",
+                    allow_two_cycles: bool = False,
                     op_budget: int | None = None,
                     restrict: bool = True) -> pd.DataFrame:
     """The applyInPandas kernel body: one component in, cover+stats out.
@@ -91,7 +91,7 @@ def solve_component(pdf: pd.DataFrame, *, algorithm: str, k: int,
     if restrict and algorithm.startswith("tdb"):
         g = restrict_to_cycle_region(g, allow_two_cycles, k)
     res = run_algorithm(g, algorithm, k, allow_two_cycles=allow_two_cycles,
-                        order=order, op_budget=op_budget)
+                        op_budget=op_budget)
     seconds = time.perf_counter() - t0
     rows = pd.DataFrame({
         "vertex": pd.array(res.cover, dtype="Int64"),

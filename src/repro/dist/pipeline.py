@@ -12,8 +12,6 @@
                     (``applyInPandas``), collecting cover rows and
                     per-component stats.
 
-``distributed_cover`` = both steps, for one-shot use.
-
 Reported timing: ``seconds`` on the returned :class:`CoverResult` is the
 *kernel* time — the sum of per-component kernel seconds, i.e. the
 sequential-equivalent algorithm cost that Table III compares (identical
@@ -60,19 +58,16 @@ def single_group(edges: DataFrame) -> DataFrame:
 
 
 def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
-                  use_prefilter: bool = True, scc_rounds: int = 8
-                  ) -> tuple[DataFrame, dict]:
+                  scc_rounds: int = 8) -> tuple[DataFrame, dict]:
     """Shared distributed phases; returns ``(comp_edges, info)``.
 
     ``comp_edges`` has columns ``comp, src, dst`` — only intra-component
     edges survive (cross-SCC edges are on no cycle).
 
-    The k-circuit prefilter needs a hop bound: ``k=None`` with
-    ``use_prefilter=True`` raises :class:`ValueError` before any Spark
-    action.
+    The k-circuit prefilter needs a hop bound: ``k=None`` raises
+    :class:`ValueError` before any Spark action.
     """
-    if use_prefilter:
-        require_hop_bound(k, "prepare_graph(use_prefilter=True)")
+    require_hop_bound(k, "prepare_graph")
     info: dict = {}
     t0 = time.perf_counter()
     e = normalize_edges(edges).localCheckpoint(eager=True)
@@ -93,7 +88,7 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
                   .select(F.col("c_src").alias("comp"), "src", "dst")
                   .localCheckpoint(eager=True))
     info["m_partitioned"] = comp_edges.count()
-    if use_prefilter and info["m_partitioned"] > 0:
+    if info["m_partitioned"] > 0:
         kept = trim(prefilter_edges(comp_edges.select("src", "dst"), k)) \
             .localCheckpoint(eager=True)
         comp_edges = (comp_edges.join(kept, ["src", "dst"], "leftsemi")
@@ -105,7 +100,7 @@ def prepare_graph(spark: SparkSession, edges: DataFrame, k: int, *,
 
 
 def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
-              allow_two_cycles: bool = False, order: str = "degree",
+              allow_two_cycles: bool = False,
               op_budget: int | None = None,
               restrict: bool = True) -> CoverResult:
     """Per-component kernels over a prepared frame → one CoverResult.
@@ -115,7 +110,7 @@ def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
     TDB+ vs TDB++ is the object of measurement."""
     t0 = time.perf_counter()
     kern = partial(solve_component, algorithm=algorithm, k=k,
-                   allow_two_cycles=allow_two_cycles, order=order,
+                   allow_two_cycles=allow_two_cycles,
                    op_budget=op_budget, restrict=restrict)
     out = (comp_edges.groupBy("comp")
            .applyInPandas(lambda pdf: kern(pdf), schema=KERNEL_SCHEMA)
@@ -130,22 +125,6 @@ def run_cover(comp_edges: DataFrame, algorithm: str, k: int, *,
         cover=cover.vertex.to_numpy(dtype=np.int64),
         seconds=kernel_seconds, ops=int(stats.ops.sum()),
         allow_two_cycles=allow_two_cycles, finished=finished,
-        extra={"wall_seconds": wall, "n_components": len(stats),
-               "order": order},
+        extra={"wall_seconds": wall, "n_components": len(stats)},
     )
 
-
-def distributed_cover(spark: SparkSession, edges: DataFrame, k: int,
-                      algorithm: str = "tdb++", *,
-                      allow_two_cycles: bool = False, order: str = "degree",
-                      use_prefilter: bool = True, scc_rounds: int = 8,
-                      op_budget: int | None = None) -> CoverResult:
-    """One-shot: prepare the graph and run one algorithm."""
-    comp_edges, info = prepare_graph(spark, edges, k,
-                                     use_prefilter=use_prefilter,
-                                     scc_rounds=scc_rounds)
-    res = run_cover(comp_edges, algorithm, k,
-                    allow_two_cycles=allow_two_cycles, order=order,
-                    op_budget=op_budget)
-    res.extra.update(info)
-    return res

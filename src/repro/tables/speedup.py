@@ -21,7 +21,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..dist.pipeline import run_cover, single_group
-from ..synth_data import graph_edges
+from ..graph.schema import edges_df
+from ..graphgen.registry import generate
 
 TECHNIQUES = ["tdb", "tdb+", "tdb++"]
 
@@ -31,7 +32,7 @@ def run_speedup(spark: SparkSession, *, datasets: tuple = ("WKV", "WGO"),
                 op_budget: int | None = 600_000_000) -> pd.DataFrame:
     rows = []
     for name in datasets:
-        edges = graph_edges(spark, name).localCheckpoint(eager=True)
+        edges = edges_df(spark, generate(name)).localCheckpoint(eager=True)
         raw = single_group(edges).localCheckpoint(eager=True)
         for k in ks:
             sizes = set()

@@ -9,10 +9,9 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..graph.schema import graph_stats
+from ..graph.schema import edges_df, graph_stats
 from ..graph.two_cycles import reciprocity
-from ..graphgen.registry import DATASETS
-from ..synth_data import graph_edges
+from ..graphgen.registry import DATASETS, generate
 
 
 def run_table2(spark: SparkSession,
@@ -21,7 +20,7 @@ def run_table2(spark: SparkSession,
     rows = []
     for name in (datasets or list(DATASETS)):
         spec = DATASETS[name]
-        e = graph_edges(spark, name).localCheckpoint(eager=True)
+        e = edges_df(spark, generate(name)).localCheckpoint(eager=True)
         st = graph_stats(e)
         rows.append({
             "dataset": name, "tier": spec.tier, "model": spec.model,

@@ -27,8 +27,8 @@ from ..core.verify import check_minimal
 from ..dist.pipeline import prepare_graph, run_cover, single_group
 from ..dist.verify import cover_frame, distributed_check_cover
 from ..graph.csr import CSRGraph
-from ..graphgen.registry import DATASETS
-from ..synth_data import graph_edges
+from ..graph.schema import edges_df
+from ..graphgen.registry import DATASETS, generate
 from .paper import TABLE3
 
 # 'edge traversal' budgets; the large tier is sized so the baselines
@@ -49,7 +49,7 @@ def run_table3(spark: SparkSession, *, k: int = 5,
     rows = []
     for name in (datasets or list(DATASETS)):
         spec = DATASETS[name]
-        edges = graph_edges(spark, name).localCheckpoint(eager=True)
+        edges = edges_df(spark, generate(name)).localCheckpoint(eager=True)
         raw = single_group(edges).localCheckpoint(eager=True)
         row: dict = {"dataset": name, "tier": spec.tier}
         for algo in algorithms:

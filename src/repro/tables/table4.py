@@ -12,8 +12,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..dist.pipeline import run_cover, single_group
-from ..graphgen.registry import SMALL
-from ..synth_data import graph_edges
+from ..graph.schema import edges_df
+from ..graphgen.registry import SMALL, generate
 from .paper import TABLE4
 
 
@@ -22,7 +22,7 @@ def run_table4(spark: SparkSession, *, k: int = 5,
                op_budget: int | None = 4_000_000_000) -> pd.DataFrame:
     rows = []
     for name in (datasets or SMALL):
-        edges = graph_edges(spark, name).localCheckpoint(eager=True)
+        edges = edges_df(spark, generate(name)).localCheckpoint(eager=True)
         raw = single_group(edges).localCheckpoint(eager=True)
         no2 = run_cover(raw, "tdb++", k, allow_two_cycles=False,
                         op_budget=op_budget)

@@ -1,10 +1,32 @@
-"""Brute-force enumeration oracle on known graphs."""
+"""Brute-force enumeration oracle on known graphs and against a DuckDB
+recursive CTE on random ones."""
+import duckdb
 import numpy as np
 import pytest
 
 from repro.core.brute import (all_simple_cycles, is_cover,
                               optimal_cover_size, vertex_on_cycle)
 from repro.graph.csr import CSRGraph
+from repro.graphgen.models import uniform_digraph
+
+# DuckDB recursive CTE enumerating hop-constrained simple cycles with the
+# brute enumerator's canonical form (min vertex first, direction
+# preserved), rendered as "v0->v1->..." over the original labels.
+DUCK_SQL = """
+WITH RECURSIVE paths(root, last, path) AS (
+    SELECT src, dst, [src, dst] FROM t WHERE src < dst
+    UNION ALL
+    SELECT p.root, e.dst, list_append(p.path, e.dst)
+    FROM paths p JOIN t e ON p.last = e.src
+    WHERE e.dst > p.root
+      AND NOT list_contains(p.path, e.dst)
+      AND len(p.path) < {k}
+)
+SELECT list_aggr(list_transform(p.path, x -> CAST(x AS VARCHAR)),
+                 'string_agg', '->') AS cycle
+FROM paths p JOIN t e ON p.last = e.src AND e.dst = p.root
+WHERE len(p.path) BETWEEN {lo} AND {k}
+"""
 
 
 def g_of(*edges):
@@ -62,3 +84,22 @@ def test_vertex_on_cycle_respects_active():
     act = np.ones(g.n, dtype=bool)
     act[1] = False
     assert not vertex_on_cycle(g, 0, 3, 5, act)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("lo", [2, 3])
+def test_vs_duckdb_recursive_cte(seed, k, lo):
+    pdf = uniform_digraph(10, 26, reciprocity=0.4, seed=seed)
+    g = CSRGraph.from_edges(pdf)
+    con = duckdb.connect()
+    try:
+        con.register("t", pdf)
+        rows = [r[0] for r in
+                con.execute(DUCK_SQL.format(k=k, lo=lo)).fetchall()]
+    finally:
+        con.close()
+    expect = {"->".join(str(int(g.vertex_ids[v])) for v in c)
+              for c in all_simple_cycles(g, lo, k)}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == expect

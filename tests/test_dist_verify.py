@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from repro.dist.pipeline import distributed_cover
+from repro.dist.pipeline import run_cover, single_group
 from repro.dist.verify import (cover_frame, distributed_check_cover,
                                remove_cover)
 from repro.graph.schema import edges_df
@@ -12,7 +12,7 @@ from repro.graphgen.models import uniform_digraph
 def test_accepts_valid_cover(spark):
     pdf = uniform_digraph(25, 75, reciprocity=0.3, seed=1)
     e = edges_df(spark, pdf)
-    res = distributed_cover(spark, e, 5, "tdb++")
+    res = run_cover(single_group(e), "tdb++", 5)
     assert distributed_check_cover(spark, e, cover_frame(spark, res.cover), 5)
 
 
